@@ -16,18 +16,24 @@ Quick start::
     results = study.run()
     print(results.first_order[:, 0, 0])   # ~ fn.first_order
 
-Package layout (see DESIGN.md for the full inventory):
+Package layout (README.md has the full tour):
 
 - :mod:`repro.stats`     — one-pass moments/covariance (Welford, Pebay)
+  and the mergeable statistics catalog
 - :mod:`repro.sampling`  — parameter laws + pick-freeze designs
 - :mod:`repro.sobol`     — iterative Martinez estimator + references
+- :mod:`repro.kernels`   — co-moment fold backends and the fold plan
 - :mod:`repro.mesh`      — structured meshes + block partitioning
 - :mod:`repro.solver`    — the CFD substrate (tube-bundle dye transport)
 - :mod:`repro.transport` — ZeroMQ-like bounded channels, N x M routing
-- :mod:`repro.simmpi`    — in-process MPI subset
+- :mod:`repro.net`       — TCP/shared-memory transport, coordinator,
+  rank supervision
 - :mod:`repro.scheduler` — SLURM-like batch scheduler (virtual time)
+  and straggler-aware scheduling policies
 - :mod:`repro.core`      — Melissa server / clients / launcher
-- :mod:`repro.runtime`   — sequential (deterministic) + threaded drivers
+- :mod:`repro.runtime`   — sequential (deterministic), threaded,
+  process and distributed drivers
+- :mod:`repro.telemetry` — metrics registry, tracer, exporters
 - :mod:`repro.faults`    — fault-injection plans
 - :mod:`repro.perfmodel` — calibrated model of the paper's Curie campaign
 - :mod:`repro.report`    — ASCII field maps and tables

@@ -503,11 +503,7 @@ def _cmd_launch(args: argparse.Namespace) -> int:
             # spawned ON THIS HOST from the same study flags (multi-host
             # deployments respawn serve with their own process manager).
             # The fault env var is stripped: replacements run clean even
-            # when the original serve was env-injected to die.  The env
-            # is computed at SPAWN time, not launch time, so fold-plan
-            # exports the coordinator absorbed mid-study
-            # ($REPRO_FOLD_AUTOTUNE) reach the replacement and it skips
-            # the autotune probe.
+            # when the original serve was env-injected to die.
             coordinator.supervisor = RankSupervisor(
                 spawner=lambda rank: subprocess.Popen(
                     _serve_respawn_command(args, rank, coordinator.address),
@@ -642,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--kernel", choices=KERNEL_NAMES, default=None,
             help="co-moment fold backend (default: $REPRO_KERNEL, then "
-                 "'auto' = autotune on the first fold)",
+                 "'auto' = time the backends on the first fold)",
         )
         sp.add_argument(
             "--fold-threads", metavar="N|auto", default=None,

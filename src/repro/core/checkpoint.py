@@ -43,12 +43,10 @@ def _fingerprint(config: StudyConfig) -> dict:
 def _legacy_general_to_stats(general) -> tuple:
     """Convert a v2 ``general`` state list to (specs, pipeline state).
 
-    A v2 rank state stored one ``FieldStatistics`` payload per timestep,
-    each embedding its own config.  The arrays pass through untouched so
-    migration is bit-exact; spec strings come from the same
-    :func:`repro.stats.legacy_statistics_specs` mapping the ``StudyConfig``
-    deprecation shim uses, so a migrated file fingerprints identically to
-    a legacy-configured study.
+    A v2 rank state stored one pre-catalog statistics payload per
+    timestep, each embedding its own config.  The arrays pass through
+    untouched so migration is bit-exact; spec strings come from
+    :func:`repro.stats.legacy_statistics_specs`.
     """
     from repro.stats import legacy_statistics_specs
 

@@ -3,7 +3,7 @@
 Residuals are materialized into preallocated scratch, batch means come
 from one reduction, and three ``np.einsum`` contractions produce the
 diagonal and cross co-moments.  Kept as the always-available reference
-the other backends are autotuned against; ~4-6 GFLOP/s single core on
+the other backends are timed against; ~4-6 GFLOP/s single core on
 the p=6 / 20k-cell hot path.
 
 GIL audit (multicore folds): ``np.einsum``, ``np.subtract`` into an out

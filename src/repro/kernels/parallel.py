@@ -12,29 +12,31 @@ combine-order concern: threaded folds are **bit-exact** against
 
 And the GIL does not serialize them: the cext backend is loaded with
 ``ctypes.CDLL``, which releases the GIL around every foreign call (the
-kernel has no Python API to need it); NumPy's einsum/reduction/matmul
+kernel has no Python API to need it); NumPy's einsum/reduction
 kernels drop the GIL for non-trivial buffers; and the Numba backend JITs
 with ``nogil=True``.  Each shard gets its *own* kernel instance, because
 the reusable scratch buffers that make the single-threaded hot path
 allocation-free (:class:`EinsumKernel` residual slabs, the cext raw-sum
-outputs, the BLAS cell-major transpose) are per-instance and must never
-be shared across threads.
+outputs) are per-instance and must never be shared across threads.
 
 The executors are process-wide and persistent (one pool per worker
 count, never torn down) so a fold pays thread-dispatch, not
 thread-creation.  ``fold_threads`` selection precedence mirrors kernel
 selection: explicit config/CLI > ``$REPRO_FOLD_THREADS`` > ``auto``.
-``auto`` measures 1/2/half/all cores on the first real fold (clamped by
-``cpus // local_ranks`` so co-located ranks don't oversubscribe) and
-picks ``(backend, nthreads, block_cells)`` jointly; the winner is cached
-per shape key in-process *and* exported through
-``$REPRO_FOLD_AUTOTUNE`` so respawned ranks and elastic spawns skip the
-probe.  Explicitly requested thread counts are honored un-clamped.
+
+:func:`resolve_plan` is the one place a field's ``(backend, nthreads,
+block_cells)`` fold plan is decided.  Explicit backend and thread count
+need no measurement.  ``auto`` is settled on the first measurable fold:
+an ``auto`` backend by timing every available backend at one thread, an
+``auto`` thread count by timing 1/2/half/all cores (clamped by
+``cpus // local_ranks`` so co-located ranks don't oversubscribe).  The
+winner is cached in-process per shape key, so every field of that shape
+in the process probes once.  Explicitly requested thread counts are
+honored un-clamped.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -47,17 +49,16 @@ from repro import telemetry as _telemetry
 from repro.kernels.base import CoMomentKernel
 
 ENV_VAR_THREADS = "REPRO_FOLD_THREADS"
-ENV_VAR_AUTOTUNE = "REPRO_FOLD_AUTOTUNE"
 
-#: smallest staged batch worth running the thread probe on (mirrors the
-#: backend autotuner's threshold: tiny folds measure nothing)
-_TUNE_MIN_BATCH = 4
+#: smallest staged batch worth probing: below it the candidates are
+#: indistinguishable, so such folds run unprobed (see
+#: :func:`unprobed_plan`)
+MIN_PROBE_BATCH = 4
 
 #: a (backend, nthreads, block_cells) execution plan
 Plan = Tuple[str, int, int]
 
-_plan_cache: Dict[str, Plan] = {}
-_pending_export: Dict[str, Plan] = {}
+_plan_cache: Dict[tuple, Plan] = {}
 _plan_lock = threading.Lock()
 
 _executors: Dict[int, ThreadPoolExecutor] = {}
@@ -109,15 +110,20 @@ def resolve_threads(spec) -> object:
     return "auto" if spec is None else spec
 
 
+def thread_cap(cpus: Optional[int] = None, local_ranks: int = 1) -> int:
+    """Most threads ``auto`` may use: ``cpus // local_ranks``, so ranks
+    sharing a host don't oversubscribe it."""
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // max(1, int(local_ranks)))
+
+
 def auto_thread_candidates(
     cpus: Optional[int] = None, local_ranks: int = 1
 ) -> List[int]:
-    """The ``auto`` measurement ladder: 1, 2, half, and all cores —
-    clamped by ``cpus // local_ranks`` so ranks sharing a host don't
-    oversubscribe it — deduplicated and sorted."""
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    cap = max(1, cpus // max(1, int(local_ranks)))
+    """The ``auto`` measurement ladder: 1, 2, half, and all cores up to
+    :func:`thread_cap`, deduplicated and sorted."""
+    cap = thread_cap(cpus, local_ranks)
     ladder = {1, 2, cap // 2, cap}
     return sorted(t for t in ladder if 1 <= t <= cap)
 
@@ -132,7 +138,7 @@ def eager_threads(spec, local_ranks: int = 1) -> int:
     """
     resolved = resolve_threads(spec)
     if resolved == "auto":
-        return auto_thread_candidates(local_ranks=local_ranks)[-1]
+        return thread_cap(local_ranks=local_ranks)
     return int(resolved)
 
 
@@ -194,7 +200,7 @@ def run_sharded(tasks: Sequence) -> None:
 
 
 # --------------------------------------------------------------------- #
-# the per-window fold (shared by sequential and sharded paths)
+# the per-window fold
 # --------------------------------------------------------------------- #
 def fold_window(
     kernel: CoMomentKernel,
@@ -256,7 +262,7 @@ class ParallelFolder:
         self, backend: str, nparams: int, batch_size: int,
         block_cells: int, nthreads: int,
     ):
-        from repro.kernels import _construct
+        from repro.kernels import make_kernel
 
         self.backend = backend
         self.nthreads = max(1, int(nthreads))
@@ -264,7 +270,7 @@ class ParallelFolder:
         self.nparams = int(nparams)
         # one kernel per shard slot: scratch isolation is the whole point
         self._kernels = [
-            _construct(backend, nparams, batch_size, self.block_cells)
+            make_kernel(backend, nparams, batch_size, self.block_cells)
             for _ in range(self.nthreads)
         ]
         self._r1 = [
@@ -310,100 +316,95 @@ class ParallelFolder:
 
 
 # --------------------------------------------------------------------- #
-# joint (backend, nthreads, block_cells) autotuning + plan cache
+# the fold plan: (backend, nthreads, block_cells)
 # --------------------------------------------------------------------- #
-def plan_key(
-    nparams: int,
-    batch_size: int,
-    block_cells: int,
-    kernel_spec: str,
-    cpus: Optional[int] = None,
-) -> str:
-    """Shape key a tuned plan is cached under.  Includes the requested
-    backend spec so ``kernel="einsum", fold_threads="auto"`` never reads
-    a plan tuned for ``kernel="auto"``, and the core count so a cached
-    winner never follows a checkpoint onto differently-sized hardware."""
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    return f"{nparams}:{batch_size}:{block_cells}:{cpus}:{kernel_spec}"
-
-
-def cached_plan(key: str) -> Optional[Plan]:
-    with _plan_lock:
-        return _plan_cache.get(key)
-
-
-def record_plan(key: str, plan: Plan, export: bool = True) -> None:
-    """Cache a tuned plan and stage it for env/frame export.
-
-    ``export`` distributes the winner beyond this process: the env var
-    reaches everything this process spawns (fork or exec), and the serve
-    loop ships :func:`consume_new_plans` to the coordinator so future
-    respawns/elastic spawns from *that* process skip the probe too.
-    """
-    plan = (str(plan[0]), int(plan[1]), int(plan[2]))
-    with _plan_lock:
-        _plan_cache[key] = plan
-        if export:
-            _pending_export[key] = plan
-            _write_env_locked()
-
-
-def consume_new_plans() -> Dict[str, List]:
-    """Plans tuned here and not yet shipped (one-shot; emptied on read)."""
-    with _plan_lock:
-        out = {k: list(v) for k, v in _pending_export.items()}
-        _pending_export.clear()
-        return out
-
-
-def absorb_plans(mapping: Dict[str, Sequence]) -> None:
-    """Merge plans tuned elsewhere (a rank's autotune frame) into this
-    process's cache *and* environment, so subprocesses spawned from here
-    — supervisor respawns, elastic workers — inherit them."""
-    if not mapping:
-        return
-    with _plan_lock:
-        for key, plan in mapping.items():
-            try:
-                backend, nthreads, block = plan
-                _plan_cache[str(key)] = (
-                    str(backend), int(nthreads), int(block)
-                )
-            except (TypeError, ValueError):
-                continue
-        _write_env_locked()
-
-
-def _write_env_locked() -> None:
-    os.environ[ENV_VAR_AUTOTUNE] = json.dumps(
-        {k: list(v) for k, v in sorted(_plan_cache.items())},
-        separators=(",", ":"),
+def unprobed_plan(backend: str, threads, block_cells: int) -> Plan:
+    """The plan for a fold that cannot be measured: explicit specs as
+    given, an ``auto`` backend on einsum, ``auto`` threads at one."""
+    return (
+        "einsum" if backend == "auto" else backend,
+        1 if threads == "auto" else int(threads),
+        int(block_cells),
     )
 
 
-def _seed_from_env() -> None:
-    raw = os.environ.get(ENV_VAR_AUTOTUNE)
-    if not raw:
-        return
-    try:
-        mapping = json.loads(raw)
-    except (ValueError, TypeError):
-        return
-    if isinstance(mapping, dict):
-        # seed silently: inherited plans are not re-exported as "new"
-        with _plan_lock:
-            for key, plan in mapping.items():
-                try:
-                    backend, nthreads, block = plan
-                    _plan_cache[str(key)] = (
-                        str(backend), int(nthreads), int(block)
-                    )
-                except (TypeError, ValueError):
-                    continue
+def resolve_plan(
+    backend: str,
+    threads,
+    nparams: int,
+    batch_size: int,
+    block_cells: int,
+    slabs: Sequence[np.ndarray] = (),
+    ncells: int = 0,
+    local_ranks: int = 1,
+) -> Optional[Plan]:
+    """The ``(backend, nthreads, block_cells)`` plan a field folds with.
+
+    ``backend`` is a concrete name or ``"auto"``, ``threads`` an int or
+    ``"auto"``.  Explicit specs return at once, with no probe; so does a
+    field whose ``batch_size`` is below :data:`MIN_PROBE_BATCH` (no fold
+    of it will ever be measurable).  Otherwise the first staged batch of
+    at least that size is measured (``auto`` backend first, at one
+    thread, then the ``auto`` thread/block ladder for the winner) and
+    the plan is cached per shape key and thread cap.  Returns None while
+    ``slabs`` is too small to measure: fold that batch on
+    :func:`unprobed_plan` and ask again.
+    """
+    if "auto" not in (backend, threads) or batch_size < MIN_PROBE_BATCH:
+        return unprobed_plan(backend, threads, block_cells)
+    if len(slabs) < MIN_PROBE_BATCH:
+        return None
+    cap = thread_cap(local_ranks=local_ranks)
+    key = (nparams, batch_size, block_cells, cap, backend, threads)
+    with _plan_lock:
+        plan = _plan_cache.get(key)
+    if plan is not None:
+        return plan
+    if backend == "auto":
+        backend = probe_backend(nparams, batch_size, block_cells, slabs)
+    if threads == "auto":
+        plan = tune_plan(
+            backend, nparams, batch_size, block_cells, slabs, ncells,
+            auto_thread_candidates(local_ranks=local_ranks),
+        )
+    else:
+        plan = (backend, int(threads), block_cells)
+    with _plan_lock:
+        _plan_cache[key] = plan
+    return plan
 
 
-_seed_from_env()
+def _best_of_two(run) -> float:
+    """Seconds of the faster of two timed calls, after one warm-up call
+    (JIT, library load, pool spin-up)."""
+    run()
+    elapsed = float("inf")
+    for _ in range(2):
+        t0 = time.perf_counter()
+        run()
+        elapsed = min(elapsed, time.perf_counter() - t0)
+    return elapsed
+
+
+def probe_backend(
+    nparams: int,
+    batch_size: int,
+    block_cells: int,
+    slabs: Sequence[np.ndarray],
+) -> str:
+    """The available backend that folds the first cell block of
+    ``slabs`` fastest at one thread."""
+    from repro.kernels import available_backends, make_kernel
+
+    hi = min(block_cells, slabs[0].shape[-1])
+    best: Optional[Tuple[float, str]] = None
+    for name in available_backends():
+        kernel = make_kernel(name, nparams, batch_size, block_cells)
+        elapsed = _best_of_two(lambda: kernel.fold_batch(slabs, 0, hi))
+        if best is None or elapsed < best[0]:
+            best = (elapsed, name)
+    assert best is not None  # einsum is always available
+    return best[1]
 
 
 def _block_candidates(block_cells: int, ncells: int) -> List[int]:
@@ -429,17 +430,17 @@ def tune_plan(
     """Measure the thread/block ladder for ``backend`` on real slabs.
 
     The probe drives stateless ``fold_batch`` shards (no running state is
-    touched), warms each candidate once, then keeps the best of two timed
-    repetitions — the same discipline as the backend autotuner.  Returns
-    the fastest ``(backend, nthreads, block_cells)``.
+    touched) and times each candidate best-of-two after a warm-up, as
+    :func:`probe_backend` does.  Returns the fastest ``(backend,
+    nthreads, block_cells)``.
     """
-    from repro.kernels import _construct
+    from repro.kernels import make_kernel
 
     best: Optional[Tuple[float, Plan]] = None
     for blk in _block_candidates(block_cells, ncells):
         for nt in thread_candidates:
             kernels = [
-                _construct(backend, nparams, batch_size, blk)
+                make_kernel(backend, nparams, batch_size, blk)
                 for _ in range(nt)
             ]
             shards = shard_ranges(ncells, nt, blk)
@@ -456,12 +457,7 @@ def tune_plan(
                     for i, (lo, hi) in enumerate(shards)
                 ])
 
-            probe()  # warm (thread spin-up, JIT, lib load)
-            elapsed = float("inf")
-            for _ in range(2):
-                t0 = time.perf_counter()
-                probe()
-                elapsed = min(elapsed, time.perf_counter() - t0)
+            elapsed = _best_of_two(probe)
             plan = (backend, nt, blk)
             if best is None or elapsed < best[0]:
                 best = (elapsed, plan)
@@ -471,19 +467,18 @@ def tune_plan(
 
 __all__ = [
     "ENV_VAR_THREADS",
-    "ENV_VAR_AUTOTUNE",
+    "MIN_PROBE_BATCH",
     "ParallelFolder",
-    "absorb_plans",
     "auto_thread_candidates",
-    "cached_plan",
-    "consume_new_plans",
     "eager_threads",
     "fold_window",
-    "plan_key",
-    "record_plan",
+    "probe_backend",
+    "resolve_plan",
     "resolve_threads",
     "run_sharded",
     "shard_ranges",
+    "thread_cap",
     "tune_plan",
+    "unprobed_plan",
     "validate_threads_spec",
 ]

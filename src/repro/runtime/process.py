@@ -117,7 +117,11 @@ def _server_worker(rank_idx, config, inbox, results, errors, beats, beat_interva
     sender = f"server-rank-{rank_idx}"
     try:
         partition = BlockPartition(config.ncells, config.server_ranks)
-        rank = ServerRank(rank_idx, config, partition)
+        # the rank workers share this host: clamp each one's auto
+        # fold-thread ladder as DistributedRuntime does
+        rank = ServerRank(
+            rank_idx, config, partition, local_ranks=config.server_ranks
+        )
         last_beat = time.monotonic()
         while True:
             try:

@@ -39,8 +39,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.kernels import make_kernel
+from repro.kernels import usable_backend
 from repro.kernels import parallel as _parallel
+from repro.kernels.base import CoMomentKernel
 from repro.sobol.confidence import (
     first_order_confidence_interval,
     total_order_confidence_interval,
@@ -325,9 +326,9 @@ class UbiquitousSobolField:
     a time: residuals are taken against the first buffer of the batch (an
     exact shift, so the contraction stays numerically stable like Pebay's
     one-pass formulas), a pluggable :mod:`repro.kernels` backend produces
-    every co-moment of the batch (einsum baseline, GEMM-shaped BLAS,
-    fused compiled C, or Numba — ``kernel="auto"`` autotunes on the first
-    real fold), and one exact pairwise combination (Pebay, SAND2008-6212)
+    every co-moment of the batch (einsum baseline, fused compiled C, or
+    Numba — ``kernel="auto"`` times them on the first measurable fold),
+    and one exact pairwise combination (Pebay, SAND2008-6212)
     merges the batch into the running state.  Any read (maps, intervals,
     checkpoints) flushes pending buffers first, so results never lag the
     data.
@@ -337,15 +338,17 @@ class UbiquitousSobolField:
     B=1 reduces to the classical iterative update, so arrival order only
     perturbs results at the reassociation level (~1e-13 relative).
 
-    Multicore folds: ``fold_threads`` shards each fold across disjoint,
-    block-aligned cell windows onto the persistent thread pool of
-    :mod:`repro.kernels.parallel` — per-thread kernel instances (scratch
+    Every fold runs through one :class:`~repro.kernels.parallel.ParallelFolder`
+    bound to the field's ``(backend, nthreads, block_cells)`` plan, which
+    :func:`~repro.kernels.parallel.resolve_plan` decides.  The folder
+    shards each fold across disjoint, block-aligned cell windows onto the
+    persistent thread pool — per-thread kernel instances (scratch
     isolation), no combine step (windows write disjoint state slices),
-    and therefore **bit-exact** results against ``fold_threads=1``.
-    ``"auto"`` (the default) measures 1/2/half/all cores on the first
-    real fold and picks ``(backend, nthreads, block_cells)`` jointly;
-    explicit integers are honored un-clamped.  Thread count is execution
-    policy, not statistics: checkpoints and fingerprints ignore it.
+    and therefore **bit-exact** results against ``fold_threads=1``, which
+    is the one-shard case.  ``"auto"`` (the default) measures 1/2/half/all
+    cores on the first measurable fold; explicit integers are honored
+    un-clamped.  Thread count is execution policy, not statistics:
+    checkpoints and fingerprints ignore it.
     """
 
     #: staged buffers per timestep before a fold is triggered
@@ -389,25 +392,17 @@ class UbiquitousSobolField:
         # lazy max-heap of (-len(staged), t): overflow eviction pops the
         # fullest timestep in O(log) instead of scanning all T timesteps
         self._staged_heap: List[Tuple[int, int]] = []
-        blk = min(self.block_cells, ncells)
-        #: requested backend spec (None -> REPRO_KERNEL env -> "auto")
-        self.kernel_spec = kernel
-        self._kernel = make_kernel(kernel, nparams, self.batch_size, blk)
-        #: requested thread spec (explicit > $REPRO_FOLD_THREADS > "auto")
-        self.fold_threads_spec = fold_threads
+        # backend: explicit > REPRO_KERNEL > "auto"; threads: explicit >
+        # $REPRO_FOLD_THREADS > "auto"
+        self._backend = usable_backend(kernel, nparams)
         self._threads = _parallel.resolve_threads(fold_threads)
         self._local_ranks = max(1, int(local_ranks))
         self._folder: Optional[_parallel.ParallelFolder] = None
-        # preallocated rank-1 correction scratch (sequential path)
-        self._r1 = np.empty((2, nparams, blk))
 
     @property
     def kernel_name(self) -> str:
-        """Concrete backend in use (``auto`` until its first tuned fold)."""
-        if self._folder is not None:
-            return self._folder.backend
-        chosen = getattr(self._kernel, "chosen", None)
-        return chosen if chosen is not None else self._kernel.name
+        """Concrete backend in use (``auto`` until its plan resolves)."""
+        return self._folder.backend if self._folder is not None else self._backend
 
     @property
     def active_fold_threads(self) -> int:
@@ -417,7 +412,7 @@ class UbiquitousSobolField:
     @property
     def fold_plan(self) -> Optional[Tuple[str, int, int]]:
         """The active ``(backend, nthreads, block_cells)`` execution
-        plan, or None while folds still run on the sequential path."""
+        plan, or None before the first fold resolves it."""
         return self._folder.plan if self._folder is not None else None
 
     # ------------------------------------------------------------------ #
@@ -524,64 +519,38 @@ class UbiquitousSobolField:
         mean = self._mean[t]
         m2 = self._m2[t]
         cxy = self._cxy[t]
-        folder = self._resolve_folder(slabs)
-        if folder is not None:
-            # sharded multicore fold: disjoint block-aligned cell windows
-            # onto per-thread kernels — bit-exact vs the sequential path
-            folder.fold(slabs, self.ncells, mean, m2, cxy, na)
-        else:
-            _parallel.fold_window(
-                self._kernel, slabs, 0, self.ncells,
-                mean, m2, cxy, na, self._r1,
-            )
+        self._folder_for(slabs).fold(slabs, self.ncells, mean, m2, cxy, na)
         self._counts[t] = na + nb
         self._staged_total -= nb
         slabs.clear()
 
-    def _resolve_folder(self, slabs) -> Optional[_parallel.ParallelFolder]:
-        """The sharded fold engine, built once its plan is known.
+    def _folder_for(self, slabs) -> _parallel.ParallelFolder:
+        """The fold engine for this batch, built once its plan is known.
 
-        Returns None while folds must stay sequential: ``fold_threads=1``
-        (permanently), or ``auto`` still waiting for a concrete backend
-        (the kernel autotuner decides inside a sequential fold) or for a
-        measurable batch.  The threads dimension autotunes jointly with
-        ``block_cells`` on the first real fold and caches its winner per
-        shape key — in-process and via ``$REPRO_FOLD_AUTOTUNE`` — so
-        respawned ranks skip the probe (see :mod:`repro.kernels.parallel`).
+        Explicit specs resolve on the first fold without a probe; ``auto``
+        resolves on the first batch large enough to measure (see
+        :func:`repro.kernels.parallel.resolve_plan`).  Smaller batches
+        before that fold on the unprobed plan.
         """
-        if self._folder is not None or self._threads == 1:
+        if self._folder is not None:
             return self._folder
         blk = min(self.block_cells, self.ncells)
-        if self._threads != "auto":
-            backend = self.kernel_name
-            if backend == "auto":
-                return None  # backend autotune pending: fold sequentially
-            self._folder = _parallel.ParallelFolder(
-                backend, self.nparams, self.batch_size, blk,
-                int(self._threads),
-            )
-            return self._folder
-        key = _parallel.plan_key(
-            self.nparams, self.batch_size, blk,
-            str(self.kernel_spec or "auto").lower(),
+        plan = _parallel.resolve_plan(
+            self._backend, self._threads, self.nparams, self.batch_size,
+            blk, slabs, self.ncells, self._local_ranks,
         )
-        plan = _parallel.cached_plan(key)
         if plan is None:
-            backend = self.kernel_name
-            if backend == "auto" or len(slabs) < _parallel._TUNE_MIN_BATCH:
-                return None
-            candidates = _parallel.auto_thread_candidates(
-                local_ranks=self._local_ranks
+            return self._build_folder(
+                _parallel.unprobed_plan(self._backend, self._threads, blk)
             )
-            plan = _parallel.tune_plan(
-                backend, self.nparams, self.batch_size, blk,
-                slabs, self.ncells, candidates,
-            )
-            _parallel.record_plan(key, plan)
-        self._folder = _parallel.ParallelFolder(
-            plan[0], self.nparams, self.batch_size, plan[2], plan[1]
-        )
+        self._folder = self._build_folder(plan)
         return self._folder
+
+    def _build_folder(self, plan) -> _parallel.ParallelFolder:
+        backend, nthreads, blk = plan
+        return _parallel.ParallelFolder(
+            backend, self.nparams, self.batch_size, blk, nthreads
+        )
 
     def flush(self, timestep: Optional[int] = None) -> None:
         """Fold staged buffers (one timestep, or all when ``None``)."""
@@ -619,7 +588,7 @@ class UbiquitousSobolField:
         dx = d[:, :2]
         dc = d[:, 2:]
         self._m2 += other._m2 + f * d * d
-        self._cxy += other._cxy + self._kernel.merge_cross(dx, dc, f[..., None])
+        self._cxy += other._cxy + CoMomentKernel.merge_cross(dx, dc, f[..., None])
         self._mean += d * wb
         self._counts += other._counts
 
@@ -632,7 +601,7 @@ class UbiquitousSobolField:
         if self._counts[timestep] < 2:
             return np.full(self.ncells, np.nan)
         m2 = self._m2[timestep]
-        maps = self._kernel.correlation_maps(
+        maps = CoMomentKernel.correlation_maps(
             self._cxy[timestep, row, k][None, None, :],
             m2[row][None, :],
             m2[2 + k][None, :],
@@ -650,7 +619,7 @@ class UbiquitousSobolField:
         if self._counts[timestep] < 2:
             return np.full((self.nparams, self.ncells), np.nan)
         m2 = self._m2[timestep]
-        maps = self._kernel.correlation_maps(
+        maps = CoMomentKernel.correlation_maps(
             self._cxy[timestep, row][None, :, :],
             m2[row][None, :],
             m2[2:],
@@ -671,7 +640,7 @@ class UbiquitousSobolField:
         if self._counts[timestep] < 2:
             return np.full((2, self.nparams, self.ncells), np.nan)
         m2 = self._m2[timestep]
-        return self._kernel.correlation_maps(
+        return CoMomentKernel.correlation_maps(
             self._cxy[timestep], m2[:2], m2[2:]
         )
 

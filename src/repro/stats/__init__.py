@@ -22,7 +22,6 @@ statistics with on-the-fly updates.
 from repro.stats.moments import IterativeMoments, batch_central_moments
 from repro.stats.covariance import IterativeCovariance, IterativeCorrelation
 from repro.stats.extrema import IterativeExtrema, ThresholdExceedance
-from repro.stats.field import FieldStatistics, StatisticsConfig
 from repro.stats.protocol import (
     FieldStatistic,
     StatContext,
@@ -46,8 +45,6 @@ __all__ = [
     "IterativeCorrelation",
     "IterativeExtrema",
     "ThresholdExceedance",
-    "FieldStatistics",
-    "StatisticsConfig",
     "FieldStatistic",
     "StatContext",
     "StatisticsPipeline",

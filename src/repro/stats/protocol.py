@@ -349,10 +349,10 @@ def legacy_statistics_specs(
     track_extrema: bool = False,
     thresholds: Sequence[float] = (),
 ) -> Tuple[str, ...]:
-    """Map the pre-catalog ``StatisticsConfig`` knobs onto spec strings.
+    """Map the pre-catalog statistics knobs onto spec strings.
 
-    Shared by the ``StudyConfig`` deprecation shim and the v2 -> v3
-    checkpoint migration so both produce byte-identical canonical specs.
+    Used by the v2 -> v3 checkpoint migration, whose v2 rank states
+    stored these knobs beside each timestep's statistics.
     """
     specs = [f"moments:order={int(moment_order)}"]
     if track_extrema:

@@ -7,8 +7,8 @@ the shard set enumerates the *identical* (lo, hi) windows the sequential
 blocked loop does and writes disjoint state slices — so the suite pins
 ``fold_threads=N`` to ``fold_threads=1`` with ``assert_array_equal``,
 not rtol: bit-exact, on every available backend, through ragged
-partitions, checkpoint hops, and mid-fold merges.  The joint
-(backend, nthreads, block_cells) autotune plan cache, its env export,
+partitions, checkpoint hops, and mid-fold merges.  The single
+(backend, nthreads, block_cells) plan resolver and its in-process cache,
 the O(log) staging-overflow eviction, and the distributed 2-rank x
 2-worker parity (including through a worker SIGKILL) are covered here
 too.
@@ -42,18 +42,13 @@ NCELLS = 257  # deliberately not a multiple of any block size
 def _isolated_plan_state(monkeypatch):
     """Each test sees an empty plan cache and a clean fold environment."""
     monkeypatch.delenv(parallel.ENV_VAR_THREADS, raising=False)
-    monkeypatch.delenv(parallel.ENV_VAR_AUTOTUNE, raising=False)
     with parallel._plan_lock:
         saved_cache = dict(parallel._plan_cache)
-        saved_pending = dict(parallel._pending_export)
         parallel._plan_cache.clear()
-        parallel._pending_export.clear()
     yield
     with parallel._plan_lock:
         parallel._plan_cache.clear()
         parallel._plan_cache.update(saved_cache)
-        parallel._pending_export.clear()
-        parallel._pending_export.update(saved_pending)
 
 
 @pytest.fixture(autouse=True)
@@ -344,77 +339,110 @@ class TestOverflowEviction:
 
 
 # --------------------------------------------------------------------- #
-# the joint autotune plan cache
+# the plan resolver and its cache
 # --------------------------------------------------------------------- #
+def counting_probes(monkeypatch):
+    """Wrap both probes; returns the call counts they append to."""
+    calls = {"probe_backend": 0, "tune_plan": 0}
+    for name in calls:
+        real = getattr(parallel, name)
+
+        def counted(*a, _name=name, _real=real, **k):
+            calls[_name] += 1
+            return _real(*a, **k)
+
+        monkeypatch.setattr(parallel, name, counted)
+    return calls
+
+
+def forbid_probes(monkeypatch, why):
+    def boom(*a, **k):  # pragma: no cover - failure path
+        pytest.fail(why)
+
+    monkeypatch.setattr(parallel, "probe_backend", boom)
+    monkeypatch.setattr(parallel, "tune_plan", boom)
+
+
 class TestPlanCache:
-    KEY = parallel.plan_key(NPARAMS, 8, NCELLS, "einsum")
-
-    def test_record_export_consume_roundtrip(self):
-        parallel.record_plan(self.KEY, ("einsum", 2, 128))
-        assert parallel.cached_plan(self.KEY) == ("einsum", 2, 128)
-        env = os.environ[parallel.ENV_VAR_AUTOTUNE]
-        assert "einsum" in env and self.KEY in env
-        assert parallel.consume_new_plans() == {self.KEY: ["einsum", 2, 128]}
-        assert parallel.consume_new_plans() == {}  # one-shot
-
-    def test_absorb_merges_and_reexports(self):
-        parallel.absorb_plans({self.KEY: ["blas", 4, 64],
-                               "bogus": "not-a-plan"})
-        assert parallel.cached_plan(self.KEY) == ("blas", 4, 64)
-        assert parallel.cached_plan("bogus") is None
-        # absorbed plans reach the env (for spawned subprocesses) but are
-        # not re-shipped as new (they came FROM the coordinator)
-        assert self.KEY in os.environ[parallel.ENV_VAR_AUTOTUNE]
-        assert parallel.consume_new_plans() == {}
-
-    def test_seed_from_env(self, monkeypatch):
-        monkeypatch.setenv(
-            parallel.ENV_VAR_AUTOTUNE, '{"%s":["einsum",3,96]}' % self.KEY
-        )
-        with parallel._plan_lock:
-            parallel._plan_cache.clear()
-        parallel._seed_from_env()
-        assert parallel.cached_plan(self.KEY) == ("einsum", 3, 96)
-        assert parallel.consume_new_plans() == {}  # inherited, not new
-
-    def test_auto_tunes_once_then_caches(self):
-        field = UbiquitousSobolField(
-            nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
-            kernel="einsum", fold_threads="auto",
-        )
-        feed(field, [(0, 8)])  # one full batch >= _TUNE_MIN_BATCH
-        plan = field.fold_plan
-        assert plan is not None and plan[0] == "einsum"
-        key = parallel.plan_key(NPARAMS, 8, NCELLS, "einsum")
-        assert parallel.cached_plan(key) == plan
-        assert parallel.consume_new_plans() == {key: list(plan)}
+    def test_auto_tunes_once_then_caches(self, monkeypatch):
+        """``auto`` resolves through exactly one probe per shape key."""
+        calls = counting_probes(monkeypatch)
+        plans = []
+        for _ in range(3):
+            field = UbiquitousSobolField(
+                nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
+                kernel="auto", fold_threads="auto",
+            )
+            feed(field, [(0, 8)])  # one full batch >= MIN_PROBE_BATCH
+            plans.append(field.fold_plan)
+        assert calls == {"probe_backend": 1, "tune_plan": 1}
+        assert plans[0] is not None and plans[0][0] in available_backends()
+        assert plans == [plans[0]] * 3
 
     def test_cached_plan_skips_probe(self, monkeypatch):
-        parallel.record_plan(self.KEY, ("einsum", 2, 128), export=False)
-
-        def boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("probe ran despite a cached plan")
-
-        monkeypatch.setattr(parallel, "tune_plan", boom)
+        first = UbiquitousSobolField(
+            nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
+            kernel="einsum", fold_threads="auto",
+        )
+        feed(first, [(0, 8)])
+        forbid_probes(monkeypatch, "probe ran despite a cached plan")
         field = UbiquitousSobolField(
             nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
             kernel="einsum", fold_threads="auto",
         )
         feed(field, [(0, 8)])
-        assert field.fold_plan == ("einsum", 2, 128)
+        assert field.fold_plan == first.fold_plan
 
     def test_explicit_threads_build_without_probe(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel, "tune_plan",
-            lambda *a, **k: pytest.fail("explicit counts must not probe"),
-        )
+        forbid_probes(monkeypatch, "explicit specs must not probe")
+        for backend in available_backends():
+            for threads in (1, 3):
+                field = UbiquitousSobolField(
+                    nparams=NPARAMS, ntimesteps=1, ncells=NCELLS,
+                    batch_size=8, kernel=backend, fold_threads=threads,
+                )
+                feed(field, [(0, 8)])
+                assert field.active_fold_threads == threads
+                assert field.fold_plan == (backend, threads, NCELLS)
+        assert parallel._plan_cache == {}  # nothing measured, nothing cached
+
+    def test_small_batches_fold_unprobed(self, monkeypatch):
+        """Batches below the probe threshold fold on einsum at one
+        thread without resolving the plan; the first full batch does."""
         field = UbiquitousSobolField(
-            nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
-            kernel="einsum", fold_threads=3,
+            nparams=NPARAMS, ntimesteps=2, ncells=NCELLS, batch_size=8,
+            kernel="auto", fold_threads="auto",
         )
-        feed(field, [(0, 8)])
-        assert field.active_fold_threads == 3
-        assert parallel.consume_new_plans() == {}  # nothing tuned
+        with monkeypatch.context() as m:
+            forbid_probes(m, "a sub-threshold batch must not probe")
+            feed(field, [(0, parallel.MIN_PROBE_BATCH - 1)])
+            field.flush()
+        assert field.fold_plan is None and field.kernel_name == "auto"
+        assert int(field._counts[0]) == parallel.MIN_PROBE_BATCH - 1
+        feed(field, [(1, 8)])
+        assert field.fold_plan is not None
+
+    def test_plan_key_includes_thread_cap(self, monkeypatch):
+        """A plan tuned under a wide thread cap must not be reused by a
+        rank whose ``cpus // local_ranks`` cap is narrower."""
+        import repro.kernels.parallel as parallel_mod
+
+        monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
+
+        def widest(backend, nparams, batch, blk, slabs, ncells, candidates):
+            return (backend, max(candidates), blk)
+
+        monkeypatch.setattr(parallel, "tune_plan", widest)
+
+        def build(local_ranks):
+            return feed(UbiquitousSobolField(
+                nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
+                kernel="einsum", fold_threads="auto",
+                local_ranks=local_ranks,
+            ), [(0, 8)])
+
+        assert build(local_ranks=1).active_fold_threads == 2
+        assert build(local_ranks=2).active_fold_threads == 1
 
 
 # --------------------------------------------------------------------- #

@@ -124,6 +124,34 @@ class TestProcessRuntime:
         runtime = ProcessRuntime(config, make_factory(fn))
         assert runtime._ctx.get_start_method() == "fork"
 
+    def test_rank_workers_clamp_fold_threads(self, monkeypatch, tmp_path):
+        """Rank workers share one host, so each is built with
+        ``local_ranks=server_ranks`` (the auto fold-thread clamp)."""
+        import json
+        import os
+
+        from repro.core.server import ServerRank
+
+        parent = os.getpid()
+        init = ServerRank.__init__
+
+        def recording_init(rank, *args, **kwargs):
+            init(rank, *args, **kwargs)
+            if os.getpid() != parent:  # only the forked rank workers
+                (tmp_path / f"rank{rank.rank}.json").write_text(
+                    json.dumps({"local_ranks": rank.local_ranks})
+                )
+
+        monkeypatch.setattr(ServerRank, "__init__", recording_init)
+        fn, config = make_config(6, ncells=NCELLS, server_ranks=2)
+        ProcessRuntime(config, vector_factory(fn),
+                       max_concurrent_groups=2).run(timeout=60.0)
+        seen = {
+            path.name: json.loads(path.read_text())["local_ranks"]
+            for path in tmp_path.glob("rank*.json")
+        }
+        assert seen == {"rank0.json": 2, "rank1.json": 2}
+
 
 class TestLivenessAndTimeout:
     """ISSUE 3 satellites: Heartbeat-based fail-fast on a dead server-rank
